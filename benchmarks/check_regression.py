@@ -22,8 +22,8 @@ nightly CI step with a matching ``--filter``:
 - ``BENCH_datalog_join.json``        (``--filter datalog_join``)
 - ``BENCH_batch_scenarios.json``     (``--filter batch_scenarios`` / ``synth_generation``)
 - ``BENCH_provenance.json``          (``--filter bench_provenance``)
-- ``BENCH_incremental.json``         (``--filter bench_incremental``)
-- ``BENCH_metrics_incremental.json`` (``--filter metrics_incremental``)
+- ``BENCH_incremental.json``         (``--filter bench_incremental`` /
+  ``metrics_incremental``: one baseline for both incremental gates)
 - ``BENCH_service.json``             (``--filter bench_service``)
 - ``BENCH_cqa.json``                 (``--filter bench_cqa``)
 """

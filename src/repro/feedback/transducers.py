@@ -136,13 +136,12 @@ class FeedbackRepairTransducer(Transducer):
             # Keep the quality sufficient statistics tracking the rewrite:
             # this is the one table mutation the metric transducer's watch
             # predicates cannot see, so the accumulators would silently go
-            # stale without it. Entries that already drifted are dropped
-            # (the incremental engine rebuilds them from the table).
+            # stale without it. Entries that do not reflect this very table
+            # are dropped (the incremental engine rebuilds them from it).
             entry = stash.entries.get(relation) if stash is not None else None
-            if entry is not None and entry.stats.row_count != len(table):
+            if entry is not None and not entry.reflects(table):
                 stash.entries.pop(relation, None)
                 entry = None
-            stats = entry.stats if entry is not None else None
             row_id_position = table.schema.position(PROVENANCE_ROW_ID)
             cell_marks = {
                 (row_key, attribute)
@@ -155,6 +154,8 @@ class FeedbackRepairTransducer(Transducer):
                 if attribute == Predicates.ANY_ATTRIBUTE
             }
             new_rows = []
+            kept_rows = []
+            dropped_rows = []
             changed = False
             for values in table.tuples():
                 row_key = str(values[row_id_position])
@@ -162,8 +163,7 @@ class FeedbackRepairTransducer(Transducer):
                     rows_dropped += 1
                     changed = True
                     store.record_drop(relation, row_key, reason="feedback: tuple marked incorrect")
-                    if stats is not None:
-                        stats.remove_row(values)
+                    dropped_rows.append(values)
                     continue
                 mutable = list(values)
                 for position, attribute in enumerate(table.schema.attribute_names):
@@ -183,13 +183,19 @@ class FeedbackRepairTransducer(Transducer):
                             witnesses=prior.witnesses if prior else (),
                             detail="cleared: marked incorrect",
                         )
-                new_values = tuple(mutable)
-                if stats is not None and new_values != values:
-                    stats.replace_row(values, new_values)
-                new_rows.append(new_values)
+                kept_rows.append(values)
+                new_rows.append(mutable)
             if changed:
                 rewritten = table.replace_rows(new_rows)
                 kb.update_table(rewritten)
+                if entry is not None:
+                    # Patched against the registered rows, so the entry
+                    # reflects the rewritten table exactly.
+                    for values in dropped_rows:
+                        entry.stats.remove_row(values)
+                    for old, new in zip(kept_rows, rewritten.tuples()):
+                        entry.stats.replace_row(old, new)
+                    entry.table = rewritten
                 if state is not None:
                     state.observe_table_updated(rewritten)
                 tables_written.append(relation)

@@ -24,9 +24,14 @@ def block_by_attributes(table: Table, attributes: Sequence[str]) -> dict[tuple, 
     Rows with NULL in any blocking attribute end up in their own singleton
     blocks (they can never be confidently matched on that key).
     """
+    schema = table.schema
+    positions = [schema.position(name) if name in schema else None for name in attributes]
     blocks: dict[tuple, list[int]] = defaultdict(list)
-    for index, row in enumerate(table.rows()):
-        key = tuple(normalise_key(row.get(name)) for name in attributes)
+    for index, values in enumerate(table.tuples()):
+        key = tuple(
+            normalise_key(values[position]) if position is not None else None
+            for position in positions
+        )
         if any(part is None for part in key):
             blocks[("__null__", index)].append(index)
         else:

@@ -179,6 +179,13 @@ class IncrementalWrangler:
                 )
 
         outcome = IncrementalOutcome(applied=True)
+        #: The result tables before any patch: a quality-stats entry is only
+        #: patched along a row diff when it reflects the table diffed from.
+        tables_before = {
+            relation: kb.get_table(relation)
+            for relation in state.relations
+            if kb.has_table(relation)
+        }
         #: relation → (rows before the patch, rows after) — feeds the
         #: metric-statistics patch; phase D composes onto phase A's diff.
         row_diffs: dict[str, tuple[dict[str, tuple], dict[str, tuple]]] = {}
@@ -284,7 +291,7 @@ class IncrementalWrangler:
         # contributions to the quality sufficient statistics, then refresh
         # the affected ``metric`` facts from the patched accumulators.
         metrics_started = time.perf_counter()
-        metrics_patched = self._patch_metrics(change_set, state, row_diffs, outcome)
+        metrics_patched = self._patch_metrics(change_set, state, row_diffs, tables_before, outcome)
         outcome.details["metrics_seconds"] = time.perf_counter() - metrics_started
 
         # Phase E — bookkeeping: the engine has done the pipeline tail's
@@ -380,6 +387,7 @@ class IncrementalWrangler:
         change_set: ChangeSet,
         state,
         row_diffs: Mapping[str, tuple[dict[str, tuple], dict[str, tuple]]],
+        tables_before: Mapping[str, Table],
         outcome: IncrementalOutcome,
     ) -> bool:
         """Patch the quality sufficient statistics and refresh metric facts.
@@ -388,8 +396,10 @@ class IncrementalWrangler:
         the old contribution, add the new); sources with appended rows add
         the tail rows' contributions. Anything the accumulators cannot
         represent — a changed data context or CFD set (the context token),
-        a row-count drift — rebuilds the affected entries from the patched
-        tables, which is still a table scan, not a pipeline run. Returns
+        an entry that did not reflect the pre-patch table — rebuilds the
+        affected entries from the patched tables, which is still a table
+        scan, not a pipeline run. Every patched entry is stamped with the
+        table it now reflects, so the metric transducer can reuse it. Returns
         False only when the session has no stash to patch (the next full
         run recomputes the metrics from scratch).
         """
@@ -443,18 +453,22 @@ class IncrementalWrangler:
                 entry = stash.entries.get(relation)
                 if entry is None or not kb.has_table(relation):
                     continue
-                rows = kb.get_table(relation).tuples()
+                table = kb.get_table(relation)
+                rows = table.tuples()
+                # The append replaced the source before the engine ran, so
+                # only the row count can vouch for the entry here.
                 if entry.stats.row_count + count != len(rows):
                     rebuild(relation)  # stats drifted from the table: resync
                 else:
                     for values in rows[len(rows) - count:]:
                         entry.stats.add_row(values)
+                    entry.table = table
                 refreshed.append(relation)
             for relation, (old_rows, new_rows) in sorted(row_diffs.items()):
                 entry = stash.entries.get(relation)
                 if entry is None or not kb.has_table(relation):
                     continue
-                if entry.stats.row_count != len(old_rows):
+                if not entry.reflects(tables_before.get(relation)):
                     rebuild(relation)  # stats drifted from the table: resync
                 else:
                     stats = entry.stats
@@ -470,6 +484,7 @@ class IncrementalWrangler:
                     for key, new in new_rows.items():
                         if key not in old_rows:
                             stats.add_row(new)
+                    entry.table = kb.get_table(relation)
                 refreshed.append(relation)
 
         for relation in dict.fromkeys(refreshed):
@@ -931,9 +946,8 @@ class IncrementalWrangler:
                     if pair not in seen:
                         seen.add(pair)
                         candidates.append(pair)
-        rows = table.rows()
         for i, j in candidates:
-            score = self._detector.pair_similarity(rows[i], rows[j])
+            score = self._detector.pair_similarity(table[i], table[j])
             if score >= config.threshold:
                 rel_state.pairs[(alive[i], alive[j])] = round(score, 6)
 
@@ -1026,7 +1040,6 @@ class IncrementalWrangler:
             return False
         config = self._detector.config
         keys = table.row_keys()
-        rows = table.rows()
         blocking = [name for name in config.blocking_attributes if name in table.schema]
         if blocking:
             blocks = block_by_attributes(table, blocking)
@@ -1043,6 +1056,6 @@ class IncrementalWrangler:
         for i, j in pairs:
             if keys[i] not in changed_keys and keys[j] not in changed_keys:
                 continue
-            if self._detector.pair_similarity(rows[i], rows[j]) >= config.threshold:
+            if self._detector.pair_similarity(table[i], table[j]) >= config.threshold:
                 return True
         return False

@@ -59,8 +59,12 @@ class MappingExecutor:
         if store is not None:
             store.clear_relation(name)
         coerced_rows = []
-        for row, refs, leaf in self._rows_for(mapping, target_schema):
-            coerced_rows.append(self._emit(name, row, refs, leaf, mapping, target_schema, store))
+        for leaf in self._leaves(mapping):
+            cell_sources = self._cell_sources(leaf) if store is not None else None
+            for row, refs, _leaf in self._leaf_rows(leaf, target_schema):
+                coerced_rows.append(
+                    self._emit(name, row, refs, cell_sources, mapping, target_schema, store)
+                )
         output_schema = self._output_schema(target_schema, name)
         return Table(output_schema, coerced_rows, coerce=False)
 
@@ -98,21 +102,22 @@ class MappingExecutor:
                 for index in sorted(set(wanted))
                 if 0 <= index < len(tuples)
             ]
-            if leaf.kind == "direct":
-                generated = self._direct_rows(leaf, target_schema, items=items)
-            else:
-                generated = self._join_rows(leaf, target_schema, items=items)
-            for row, refs, produced_leaf in generated:
+            cell_sources = self._cell_sources(leaf) if store is not None else None
+            for row, refs, _leaf in self._leaf_rows(leaf, target_schema, items=items):
                 emitted = self._emit(
-                    result_name, row, refs, produced_leaf, mapping, target_schema, store
+                    result_name, row, refs, cell_sources, mapping, target_schema, store
                 )
                 produced.append((str(row[-1]), emitted))
         return produced
 
     # -- internals -----------------------------------------------------------
 
-    def _emit(self, name, row, refs, leaf, mapping, target_schema, store) -> tuple:
-        """Coerce one generated row and record its lineage."""
+    def _emit(self, name, row, refs, cell_sources, mapping, target_schema, store) -> tuple:
+        """Coerce one generated row and record its lineage.
+
+        ``cell_sources`` is the row's leaf's :meth:`_cell_sources`, computed
+        once per leaf by the caller.
+        """
         coerced = []
         for attribute, value in zip(target_schema.attributes, row[:-2]):
             coerced.append(_coerce_or_null(value, attribute.dtype))
@@ -123,7 +128,7 @@ class MappingExecutor:
                 operator=OPERATOR_MAPPING,
                 witnesses=(frozenset(refs),),
                 mapping_id=mapping.mapping_id,
-                cell_sources=self._cell_sources(leaf),
+                cell_sources=cell_sources,
             )
         return (*coerced, row[-2], row[-1])
 
@@ -171,15 +176,15 @@ class MappingExecutor:
                 cell_sources[assignment.target_attribute] = assignment.source_relation
         return cell_sources
 
-    def _rows_for(self, mapping: SchemaMapping, target_schema: Schema) -> Iterable[tuple]:
-        if mapping.kind == "union":
-            for child in mapping.children:
-                yield from self._rows_for(child, target_schema)
-            return
-        if mapping.kind == "direct":
-            yield from self._direct_rows(mapping, target_schema)
-            return
-        yield from self._join_rows(mapping, target_schema)
+    def _leaf_rows(
+        self,
+        leaf: SchemaMapping,
+        target_schema: Schema,
+        items: Iterable[tuple[int, tuple]] | None = None,
+    ) -> Iterable[tuple]:
+        if leaf.kind == "direct":
+            return self._direct_rows(leaf, target_schema, items=items)
+        return self._join_rows(leaf, target_schema, items=items)
 
     def _direct_rows(
         self,

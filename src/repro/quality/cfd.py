@@ -17,13 +17,21 @@ lookups).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.relational.keys import normalise_key_tuple
 from repro.relational.table import Table
 from repro.relational.types import is_null
 
-__all__ = ["WILDCARD", "CFD", "Violation", "find_violations"]
+__all__ = [
+    "WILDCARD",
+    "CFD",
+    "CompiledCFD",
+    "CFDPlan",
+    "Violation",
+    "find_violations",
+    "values_equal",
+]
 
 #: Pattern wildcard.
 WILDCARD = "_"
@@ -84,7 +92,7 @@ class CFD:
         for attribute, constant in self.lhs_pattern:
             if constant == WILDCARD:
                 continue
-            if not _values_equal(row[attribute], constant):
+            if not values_equal(row[attribute], constant):
                 return False
         return True
 
@@ -117,7 +125,7 @@ class CFD:
         """
         value = row.get(self.rhs)
         if self.is_constant:
-            return _values_equal(value, self.rhs_pattern)
+            return values_equal(value, self.rhs_pattern)
         if witness is None:
             return True
         expected = witness.get(self.lhs_values(row))
@@ -125,7 +133,7 @@ class CFD:
             return True
         if is_null(value):
             return False
-        return _values_equal(value, expected)
+        return values_equal(value, expected)
 
     def expected_value(
         self, row: Mapping[str, Any], *, witness: Mapping[tuple, Any] | None = None
@@ -151,6 +159,118 @@ class CFD:
         lhs_text = ",".join(f"{name}:{lhs_pattern[name]}" for name in self.lhs)
         rhs_text = f"{self.rhs}:{self.rhs_pattern}"
         return self.cfd_id, self.relation, lhs_text, rhs_text, self.support
+
+
+@dataclass(frozen=True)
+class CompiledCFD:
+    """One CFD resolved against a row layout (see :class:`CFDPlan`)."""
+
+    #: Position of the CFD in the list the plan was compiled from.
+    index: int
+    cfd: CFD
+    #: Index of the CFD's LHS in :attr:`CFDPlan.lhs_positions`.
+    group: int
+    #: Position of the RHS attribute (None when the layout lacks it).
+    rhs: int | None
+    #: (position, constant) of every non-wildcard LHS pattern entry.
+    pattern: tuple[tuple[int, Any], ...]
+    #: ``cfd.is_constant``, precomputed.
+    constant: bool
+    witness: Mapping[tuple, Any] | None
+
+    def matches(self, values: Sequence[Any]) -> bool:
+        """The LHS pattern constants part of :meth:`CFD.applies_to`."""
+        for position, constant in self.pattern:
+            if not values_equal(values[position], constant):
+                return False
+        return True
+
+    def satisfied(self, values: Sequence[Any], key: tuple) -> bool:
+        """:meth:`CFD.check_applicable` given the row's normalised LHS ``key``."""
+        value = values[self.rhs] if self.rhs is not None else None
+        if self.constant:
+            return values_equal(value, self.cfd.rhs_pattern)
+        if self.witness is None:
+            return True
+        expected = self.witness.get(key)
+        if expected is None:
+            return True
+        if is_null(value):
+            return False
+        return values_equal(value, expected)
+
+    def expected(self, key: tuple) -> Any:
+        """:meth:`CFD.expected_value` for an applicable row's LHS ``key``."""
+        if self.constant:
+            return self.cfd.rhs_pattern
+        if self.witness is None:
+            return None
+        return self.witness.get(key)
+
+
+class CFDPlan:
+    """CFDs compiled once for a row layout, checked positionally per row.
+
+    Each CFD's LHS, RHS and pattern-constant attributes are resolved to
+    positions up front, and CFDs sharing an LHS share one group: a row's
+    LHS values are null-checked and normalised once per distinct LHS
+    (:meth:`lhs_key`) instead of once per CFD over a per-row dict. CFDs
+    whose LHS the layout lacks can never apply and are left out. The
+    row-dict methods of :class:`CFD` stay the reference semantics.
+    """
+
+    def __init__(
+        self,
+        cfds: Iterable[CFD],
+        row_names: Sequence[str],
+        witnesses: Mapping[str, Mapping[tuple, Any]] | None = None,
+    ) -> None:
+        witnesses = witnesses or {}
+        position_of = {name: position for position, name in enumerate(row_names)}
+        groups: dict[tuple[int, ...], int] = {}
+        members: list[CompiledCFD] = []
+        for index, cfd in enumerate(cfds):
+            lhs = tuple(position_of.get(name) for name in cfd.lhs)
+            if None in lhs:
+                continue
+            members.append(
+                CompiledCFD(
+                    index=index,
+                    cfd=cfd,
+                    group=groups.setdefault(lhs, len(groups)),
+                    rhs=position_of.get(cfd.rhs),
+                    pattern=tuple(
+                        (position_of[name], constant)
+                        for name, constant in cfd.lhs_pattern
+                        if constant != WILDCARD
+                    ),
+                    constant=cfd.is_constant,
+                    witness=witnesses.get(cfd.cfd_id),
+                )
+            )
+        #: Compiled CFDs in input order.
+        self.members: tuple[CompiledCFD, ...] = tuple(members)
+        #: LHS positions of each group.
+        self.lhs_positions: tuple[tuple[int, ...], ...] = tuple(groups)
+        #: Per group, its members (input order).
+        self.groups: tuple[tuple[CompiledCFD, ...], ...] = tuple(
+            tuple(member for member in members if member.group == group)
+            for group in range(len(groups))
+        )
+        #: Position → groups whose LHS reads it (a write there invalidates
+        #: those groups' keys).
+        self.readers: dict[int, tuple[int, ...]] = {}
+        for group, positions in enumerate(self.lhs_positions):
+            for position in set(positions):
+                self.readers[position] = self.readers.get(position, ()) + (group,)
+
+    def lhs_key(self, group: int, values: Sequence[Any]) -> tuple | None:
+        """The row's normalised LHS for ``group``; None when any LHS value is NULL."""
+        key = normalise_key_tuple([values[position] for position in self.lhs_positions[group]])
+        for part in key:
+            if part is None:  # normalise_key maps exactly the NULLs to None
+                return None
+        return key
 
 
 @dataclass(frozen=True)
@@ -203,7 +323,11 @@ def find_violations(
     return violations
 
 
-def _values_equal(left: Any, right: Any) -> bool:
+def values_equal(left: Any, right: Any) -> bool:
+    """CFD value agreement: trimmed case-folded strings, numeric equality.
+
+    NULL never equals anything, itself included.
+    """
     if is_null(left) or is_null(right):
         return False
     if isinstance(left, str) and isinstance(right, str):

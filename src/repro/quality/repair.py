@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.provenance.model import OPERATOR_REPAIR, ProvenanceStore
-from repro.quality.cfd import CFD
+from repro.quality.cfd import CFD, CFDPlan, values_equal
 from repro.relational.table import Table
 from repro.relational.types import is_null
 
@@ -93,57 +93,66 @@ class CFDRepairer:
         current value no longer comes from the mapped source row but from
         the CFD (and its witness reference data) that rewrote it.
         """
-        witnesses = witnesses or {}
         ordered = sorted(
             (cfd for cfd in cfds if cfd.confidence >= self._min_confidence),
             key=lambda cfd: (-cfd.confidence, -cfd.support, cfd.cfd_id),
         )
-        rows = [list(values) for values in table.tuples()]
-        schema = table.schema
-        actions: list[RepairAction] = []
-        touched: set[tuple[int, str]] = set()
-
-        for cfd in ordered:
-            if cfd.rhs not in schema:
-                continue
-            if any(attribute not in schema for attribute in cfd.lhs):
-                continue
-            rhs_position = schema.position(cfd.rhs)
-            witness = witnesses.get(cfd.cfd_id)
-            for row_index, values in enumerate(rows):
-                if (row_index, cfd.rhs) in touched:
+        plan = CFDPlan(ordered, table.schema.attribute_names, witnesses)
+        members = [member for member in plan.members if member.rhs is not None]
+        # Row by row, CFDs in order: each row's repairs depend only on that
+        # row, so this is the CFD-major pass with each row's LHS keys shared
+        # by the CFDs reading them. Actions are kept per CFD so the list
+        # still comes out CFD-major.
+        actions_of: list[list[RepairAction]] = [[] for _ in members]
+        rows = []
+        for row_index, values in enumerate(table.tuples()):
+            values = list(values)
+            keys: dict[int, tuple | None] = {}
+            repaired_positions: set[int] = set()
+            for slot, member in enumerate(members):
+                rhs = member.rhs
+                if rhs in repaired_positions:
                     continue
-                row = dict(zip(schema.attribute_names, values))
-                if not cfd.applies_to(row):
+                group = member.group
+                if group not in keys:
+                    keys[group] = plan.lhs_key(group, values)
+                key = keys[group]
+                if key is None or not member.matches(values):
                     continue
-                expected = cfd.expected_value(row, witness=witness)
+                expected = member.expected(key)
                 if expected is None or is_null(expected):
                     continue
-                current = values[rhs_position]
+                current = values[rhs]
                 if is_null(current):
                     if not self._impute_missing:
                         continue
                     kind = "imputation"
-                elif not _values_equal(current, expected):
+                elif not values_equal(current, expected):
                     if not self._fix_violations:
                         continue
                     kind = "violation"
                 else:
                     continue
-                values[rhs_position] = expected
-                touched.add((row_index, cfd.rhs))
-                actions.append(
+                values[rhs] = expected
+                repaired_positions.add(rhs)
+                # A repaired cell may be a later CFD's LHS: its key must be
+                # recomputed from the rewritten value.
+                for reader in plan.readers.get(rhs, ()):
+                    keys.pop(reader, None)
+                actions_of[slot].append(
                     RepairAction(
                         relation=table.name,
                         row_index=row_index,
-                        attribute=cfd.rhs,
+                        attribute=member.cfd.rhs,
                         old_value=current,
                         new_value=expected,
-                        cfd_id=cfd.cfd_id,
+                        cfd_id=member.cfd.cfd_id,
                         kind=kind,
                     )
                 )
-        repaired = table.replace_rows([tuple(values) for values in rows])
+            rows.append(values)
+        actions = [action for member_actions in actions_of for action in member_actions]
+        repaired = table.replace_rows(rows)
         if provenance is not None and provenance.enabled and actions:
             row_keys = table.row_keys()
             for action in actions:
@@ -157,10 +166,3 @@ class CFDRepairer:
                 )
         return RepairResult(table=repaired, actions=actions)
 
-
-def _values_equal(left: Any, right: Any) -> bool:
-    if isinstance(left, str) and isinstance(right, str):
-        return left.strip().lower() == right.strip().lower()
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return float(left) == float(right)
-    return left == right

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.quality.cfd import CFD
+from repro.quality.cfd import CFD, CFDPlan
 from repro.relational.keys import normalise_key_tuple
 from repro.relational.table import Table
 from repro.relational.types import is_null
@@ -306,9 +306,9 @@ class AccuracyStats:
 class ConsistencyStats:
     """Per-CFD checkable and violation counters (with witness indexes).
 
-    One pass over the rows evaluates ``applies_to`` once per (row, CFD)
-    pair and folds the checkable-cell count into the violation check —
-    the double scan the monolithic ``consistency()`` used to do.
+    One positional pass per row (a :class:`~repro.quality.cfd.CFDPlan`
+    compiled for the row layout) counts each applicable CFD's checkable
+    cell and folds in its violation check.
     """
 
     row_names: tuple[str, ...]
@@ -326,7 +326,7 @@ class ConsistencyStats:
             self.checkable = [0] * len(self.cfds)
         if not self.violations:
             self.violations = [0] * len(self.cfds)
-        self._witness_of = tuple(self.witnesses.get(cfd.cfd_id) for cfd in self.cfds)
+        self._plan = CFDPlan(self.cfds, self.row_names, self.witnesses)
 
     def __getstate__(self):
         return {
@@ -342,31 +342,31 @@ class ConsistencyStats:
         self.__dict__.update(state)
         self.__post_init__()
 
+    def _count(self, values: Sequence[Any], step: int) -> None:
+        """Add ``step`` times the row's checkable and violation counts."""
+        plan = self._plan
+        checkable = self.checkable
+        violations = self.violations
+        for group, members in enumerate(plan.groups):
+            key = plan.lhs_key(group, values)
+            if key is None:
+                continue
+            for member in members:
+                if not member.matches(values):
+                    continue
+                checkable[member.index] += step
+                if not member.satisfied(values, key):
+                    violations[member.index] += step
+
     def add_row(self, values: Sequence[Any]) -> None:
         """Count one row's contribution."""
         self.row_count += 1
-        if not self.cfds:
-            return
-        row = dict(zip(self.row_names, values))
-        for position, cfd in enumerate(self.cfds):
-            if not cfd.applies_to(row):
-                continue
-            self.checkable[position] += 1
-            if not cfd.check_applicable(row, witness=self._witness_of[position]):
-                self.violations[position] += 1
+        self._count(values, 1)
 
     def remove_row(self, values: Sequence[Any]) -> None:
         """Retract one previously added row's contribution."""
         self.row_count -= 1
-        if not self.cfds:
-            return
-        row = dict(zip(self.row_names, values))
-        for position, cfd in enumerate(self.cfds):
-            if not cfd.applies_to(row):
-                continue
-            self.checkable[position] -= 1
-            if not cfd.check_applicable(row, witness=self._witness_of[position]):
-                self.violations[position] -= 1
+        self._count(values, -1)
 
     def merge(self, other: "ConsistencyStats") -> None:
         """Fold another shard's counters into this one."""

@@ -29,6 +29,7 @@ from repro.quality.stats import (
     build_reference_index,
     build_stats,
 )
+from repro.relational.table import Table
 
 __all__ = [
     "CFD_ARTIFACT_KEY",
@@ -63,6 +64,16 @@ class QualityStatsEntry:
     #: would have picked the same ones before trusting the entry.
     reference_name: str | None = None
     master_name: str | None = None
+    #: The catalog table the accumulators exactly reflect. Tables are
+    #: immutable (every operation returns a new object), so
+    #: ``entry.table is kb.get_table(relation)`` proves the entry current;
+    #: writers that patch the accumulators in place stamp the table they
+    #: register, and any other write leaves a mismatch that forces a rebuild.
+    table: Table | None = None
+
+    def reflects(self, table: Table | None) -> bool:
+        """Whether the accumulators exactly reflect ``table``."""
+        return table is not None and self.table is table
 
 
 class QualityStatsStash:
@@ -221,6 +232,7 @@ def build_relation_entry(
         stats=stats,
         reference_name=context.reference.name if stats.accuracy is not None else None,
         master_name=context.master.name if stats.relevance is not None else None,
+        table=kb.get_table(relation),
     )
 
 
@@ -287,12 +299,16 @@ class QualityMetricTransducer(Transducer):
     watch_predicates = ("cfd", "data_context", "result", "repair")
 
     def run(self, kb: KnowledgeBase) -> TransducerResult:
-        context = _metric_context(kb)
+        context = None
         added = 0
         evaluated = []
+        reused = []
+        rebuilt = []
         stash = quality_stats_stash(kb)
+        token = quality_context_token(kb)
+        previous = stash.entries if stash.context_token == token else {}
         stash.entries = {}
-        stash.context_token = quality_context_token(kb)
+        stash.context_token = token
         subjects = [(Predicates.ROLE_SOURCE, name) for name in kb.source_relations()]
         subjects += [("result", row[0]) for row in kb.facts(Predicates.RESULT)]
         # Metric facts are derived state: replace, never accumulate (stale
@@ -302,7 +318,20 @@ class QualityMetricTransducer(Transducer):
         for subject_kind, relation in subjects:
             if not kb.has_table(relation):
                 continue
-            entry = build_relation_entry(kb, relation, subject_kind, context=context)
+            # Same context, same table object: the entry is exactly what a
+            # rebuild would produce, so only its metric facts are re-asserted.
+            entry = previous.get(relation)
+            if (
+                entry is not None
+                and entry.subject_kind == subject_kind
+                and entry.reflects(kb.get_table(relation))
+            ):
+                reused.append(relation)
+            else:
+                if context is None:
+                    context = _metric_context(kb)
+                entry = build_relation_entry(kb, relation, subject_kind, context=context)
+                rebuilt.append(relation)
             stash.entries[relation] = entry
             for criterion, value in entry.stats.finalise().as_dict().items():
                 fact = metric_fact(subject_kind, relation, criterion, value)
@@ -316,14 +345,12 @@ class QualityMetricTransducer(Transducer):
         stash.synced_revision = kb.revision
         return TransducerResult(
             facts_added=added,
-            notes=f"computed metrics for {len(evaluated)} datasets",
-            details={"evaluated": evaluated},
+            notes=(
+                f"computed metrics for {len(evaluated)} datasets "
+                f"({len(rebuilt)} rebuilt, {len(reused)} reused)"
+            ),
+            details={"evaluated": evaluated, "reused": reused, "rebuilt": rebuilt},
         )
-
-    @staticmethod
-    def _context_table(kb: KnowledgeBase, kind: str):
-        """The first data-context table of ``kind`` and a join key for it."""
-        return _context_table(kb, kind)
 
 
 def _context_table(kb: KnowledgeBase, kind: str):
@@ -413,23 +440,25 @@ class DataRepairTransducer(Transducer):
 
     @staticmethod
     def _patch_stash(
-        stash: QualityStatsStash | None, relation: str, before, after
+        stash: QualityStatsStash | None, relation: str, before: Table, after: Table
     ) -> None:
         """Keep the quality statistics tracking a repair rewrite.
 
         A re-repair of an already-repaired table asserts no new ``repair``
         facts, so the metric transducer's watches never fire for it — the
         accumulators would silently stay on the pre-repair rows. Entries
-        that already drifted are dropped instead (rebuilt on next use).
+        that do not reflect ``before`` are dropped instead (rebuilt on next
+        use).
         """
         if stash is None:
             return
         entry = stash.entries.get(relation)
         if entry is None:
             return
-        if entry.stats.row_count != len(before):
+        if not entry.reflects(before):
             stash.entries.pop(relation, None)
             return
         for old, new in zip(before.tuples(), after.tuples()):
             if old != new:
                 entry.stats.replace_row(old, new)
+        entry.table = after

@@ -24,10 +24,10 @@ def normalise_key(value: Any) -> Any:
     become ints; NULLs map to None. Non-key comparisons (e.g. accuracy of a
     description) should *not* use this — it is deliberately aggressive.
     """
+    if isinstance(value, str):  # tested first: the common case, and never NULL
+        return "".join(value.lower().split())
     if is_null(value):
         return None
-    if isinstance(value, str):
-        return "".join(value.lower().split())
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value

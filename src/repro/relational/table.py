@@ -93,16 +93,24 @@ class Table:
     def __init__(self, schema: Schema, rows: Iterable[Sequence[Any]] = (), *,
                  coerce: bool = True, validate: bool = True):
         self._schema = schema
+        arity = schema.arity
+        dtypes = tuple(attribute.dtype for attribute in schema.attributes)
+        classes = tuple(dtype.python_type for dtype in dtypes)
         materialised: list[tuple[Any, ...]] = []
         for raw in rows:
             values = tuple(raw)
-            if validate and len(values) != schema.arity:
+            if validate and len(values) != arity:
                 raise ArityError(
                     f"row {values!r} has {len(values)} values but schema "
-                    f"{schema.name!r} has arity {schema.arity}")
+                    f"{schema.name!r} has arity {arity}")
             if coerce:
+                # NULL and values already of the type's class coerce to
+                # themselves, so they skip the call (``v == v`` is false only
+                # for NaN, which coerces to NULL).
                 values = tuple(
-                    coerce_value(v, a.dtype) for v, a in zip(values, schema.attributes))
+                    v if v is None or (v.__class__ is cls and v == v)
+                    else coerce_value(v, dtype)
+                    for v, cls, dtype in zip(values, classes, dtypes))
             materialised.append(values)
         self._rows = materialised
 

@@ -45,6 +45,14 @@ class DataType(enum.Enum):
         """Whether values of this type support arithmetic."""
         return self in (DataType.INTEGER, DataType.FLOAT)
 
+    @property
+    def python_type(self) -> type | None:
+        """The class :func:`coerce_value` produces for this type (None for ANY).
+
+        A non-NaN value of exactly this class coerces to itself.
+        """
+        return _PYTHON_TYPES.get(self)
+
     @classmethod
     def from_name(cls, name: str) -> "DataType":
         """Resolve a type from its lower-case name (``"string"``, ``"int"``...)."""
@@ -82,6 +90,13 @@ def is_null(value: Any) -> bool:
         return True
     return False
 
+
+_PYTHON_TYPES = {
+    DataType.STRING: str,
+    DataType.INTEGER: int,
+    DataType.FLOAT: float,
+    DataType.BOOLEAN: bool,
+}
 
 _TRUE_STRINGS = frozenset({"true", "t", "yes", "y", "1"})
 _FALSE_STRINGS = frozenset({"false", "f", "no", "n", "0"})

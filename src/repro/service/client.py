@@ -59,10 +59,13 @@ class ServiceClient:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
-            try:
-                body = json.loads(exc.read().decode("utf-8"))
-            except Exception:  # non-JSON error body
-                body = {"error": str(exc)}
+            # The error doubles as the response: close it, or its socket
+            # stays open until garbage collection.
+            with exc:
+                try:
+                    body = json.loads(exc.read().decode("utf-8"))
+                except Exception:  # non-JSON error body
+                    body = {"error": str(exc)}
             raise ServiceError(exc.code, body) from None
 
     # -- sessions -------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from repro.matching.similarity import (
 )
 from repro.quality.metrics import attribute_completeness, table_completeness
 from repro.relational import Attribute, DataType, Schema, Table, distinct, project, select, union_all
+from repro.relational.errors import TypeCoercionError
 from repro.relational.expressions import col
 from repro.relational.keys import normalise_key
 from repro.relational.types import coerce_value, infer_type, is_null
@@ -99,6 +101,37 @@ def test_completeness_is_bounded(table):
 def test_normalise_key_is_idempotent(value):
     once = normalise_key(value)
     assert normalise_key(once) == once
+
+
+class _Text(str):
+    """A str subclass: not the exact class, so it takes the coercion call."""
+
+
+@given(
+    st.lists(
+        st.one_of(
+            cell_values,
+            st.just(float("nan")),
+            st.sampled_from(["nan", " 7 ", "2.0", "3", "true", "£1,200"]),
+            simple_text.map(_Text),
+        ),
+        min_size=5,
+        max_size=5,
+    ),
+    st.permutations(list(DataType)),
+)
+@settings(max_examples=200)
+def test_table_coercion_equals_per_cell_coerce_value(values, dtypes):
+    schema = Schema("t", [Attribute(f"a{i}", dtype) for i, dtype in enumerate(dtypes)])
+    try:
+        expected = [coerce_value(value, dtype) for value, dtype in zip(values, dtypes)]
+    except TypeCoercionError:
+        with pytest.raises(TypeCoercionError):
+            Table(schema, [values])
+        return
+    (row,) = Table(schema, [values]).tuples()
+    # Type plus repr: exact, and NaN compares equal to NaN.
+    assert [(type(v), repr(v)) for v in row] == [(type(v), repr(v)) for v in expected]
 
 
 @given(cell_values)

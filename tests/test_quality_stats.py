@@ -8,6 +8,7 @@ and ``merge`` combines shard accumulators associatively.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 from hypothesis import HealthCheck, given, settings
@@ -23,9 +24,13 @@ from repro.quality import (
     evaluate_quality,
     find_violations,
 )
-from repro.quality.stats import QualityStats
+from repro.quality.cfd import CFDPlan
+from repro.quality.repair import CFDRepairer, RepairAction
+from repro.quality.stats import ConsistencyStats, QualityStats
 from repro.quality.transducers import quality_stats_stash
 from repro.relational import Attribute, DataType, Schema, Table
+from repro.relational.keys import normalise_key_tuple
+from repro.relational.types import is_null
 
 SCHEMA = Schema("listing", [
     Attribute("street", DataType.STRING),
@@ -302,3 +307,237 @@ class TestBuildStats:
         assert quality_stats_stash(kb, create=False) is None
         stash = quality_stats_stash(kb)
         assert quality_stats_stash(kb) is stash
+
+
+# -- compiled CFD checks --------------------------------------------------------
+
+#: Attribute pool for random layouts; layouts draw a subset, so some CFD
+#: attributes are missing from the rows checked.
+POOL = ("code", "name", "city", "size", "_row_id")
+#: Values covering NULL and NaN, whitespace/case variants and integral floats.
+CELLS = (None, float("nan"), "M1 1AA", " m1 1aa", "M11AA", "Oak", "oak ", "OAK",
+         "Elm", 2, 2.0, 3, 3.5, "")
+
+
+@st.composite
+def compiled_case(draw):
+    """A row layout, CFDs over the pool (shared LHSs likely), witnesses, rows."""
+    names = tuple(draw(st.permutations(POOL))[:draw(st.integers(1, len(POOL)))])
+    lhs_choices = [("code",), ("name",), ("code", "city"), ("size",), ("name", "code")]
+    cfds = []
+    for index in range(draw(st.integers(0, 6))):
+        lhs = draw(st.sampled_from(lhs_choices))
+        rhs = draw(st.sampled_from([name for name in POOL if name not in lhs]))
+        pattern = tuple(
+            (attribute, draw(st.sampled_from(["_", "_", "M1 1AA", "oak", 2.0])))
+            for attribute in lhs
+            if draw(st.booleans())
+        )
+        rhs_pattern = draw(st.sampled_from(["_", "_", "_", "Oak", 2, " elm"]))
+        cfds.append(CFD(f"c{index}", "t", lhs, rhs, lhs_pattern=pattern,
+                        rhs_pattern=rhs_pattern))
+    row = st.tuples(*[st.sampled_from(CELLS) for _ in names])
+    rows = draw(st.lists(row, max_size=12))
+    witnesses = {}
+    for cfd in cfds:
+        if draw(st.booleans()):
+            continue
+        witness = {}
+        for source in draw(st.lists(st.fixed_dictionaries(
+                {name: st.sampled_from(CELLS) for name in POOL}), max_size=6)):
+            witness[normalise_key_tuple(source[name] for name in cfd.lhs)] = source[cfd.rhs]
+        witnesses[cfd.cfd_id] = witness
+    return names, cfds, witnesses, rows
+
+
+class TestCompiledChecks:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=compiled_case())
+    def test_plan_agrees_with_row_dict_api(self, case):
+        names, cfds, witnesses, rows = case
+        plan = CFDPlan(cfds, names, witnesses)
+        compiled = {member.index: member for member in plan.members}
+        for values in rows:
+            row = dict(zip(names, values))
+            for index, cfd in enumerate(cfds):
+                witness = witnesses.get(cfd.cfd_id)
+                member = compiled.get(index)
+                if member is None:
+                    # LHS absent from the layout: never applicable.
+                    assert not cfd.applies_to(row)
+                    continue
+                key = plan.lhs_key(member.group, values)
+                applies = key is not None and member.matches(values)
+                assert applies == cfd.applies_to(row)
+                if not applies:
+                    continue
+                assert member.satisfied(values, key) == cfd.check_applicable(
+                    row, witness=witness)
+                expected = member.expected(key)
+                oracle = cfd.expected_value(row, witness=witness)
+                assert expected == oracle or (is_null(expected) and is_null(oracle))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=compiled_case())
+    def test_consistency_counters_match_per_cfd_oracle(self, case):
+        names, cfds, witnesses, rows = case
+        stats = ConsistencyStats(row_names=names, cfds=tuple(cfds), witnesses=witnesses)
+        for values in rows:
+            stats.add_row(values)
+        checkable = [0] * len(cfds)
+        violations = [0] * len(cfds)
+        for values in rows:
+            row = dict(zip(names, values))
+            for index, cfd in enumerate(cfds):
+                if cfd.applies_to(row):
+                    checkable[index] += 1
+                    if not cfd.check_applicable(row, witness=witnesses.get(cfd.cfd_id)):
+                        violations[index] += 1
+        assert stats.checkable == checkable
+        assert stats.violations == violations
+
+    def test_shared_lhs_is_one_group(self):
+        cfds = [
+            CFD("a", "t", ("code",), "name"),
+            CFD("b", "t", ("code",), "city"),
+            CFD("c", "t", ("name",), "code"),
+            CFD("d", "t", ("missing",), "code"),
+        ]
+        plan = CFDPlan(cfds, ("code", "name", "city"))
+        assert [member.index for member in plan.members] == [0, 1, 2]
+        assert plan.lhs_positions == ((0,), (1,))
+        assert [len(group) for group in plan.groups] == [2, 1]
+        # Writing ``name`` invalidates the ``name`` LHS only.
+        assert plan.readers == {0: (0,), 1: (1,)}
+
+
+def reference_repair(table, cfds, witnesses, *, impute_missing=True,
+                     fix_violations=True, min_confidence=0.0):
+    """The CFD-major, row-dict repair loop the compiled repairer replaced."""
+
+    def values_equal(left, right):
+        if isinstance(left, str) and isinstance(right, str):
+            return left.strip().lower() == right.strip().lower()
+        if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+            return float(left) == float(right)
+        return left == right
+
+    witnesses = witnesses or {}
+    ordered = sorted(
+        (cfd for cfd in cfds if cfd.confidence >= min_confidence),
+        key=lambda cfd: (-cfd.confidence, -cfd.support, cfd.cfd_id),
+    )
+    rows = [list(values) for values in table.tuples()]
+    schema = table.schema
+    actions = []
+    touched = set()
+    for cfd in ordered:
+        if cfd.rhs not in schema:
+            continue
+        if any(attribute not in schema for attribute in cfd.lhs):
+            continue
+        rhs_position = schema.position(cfd.rhs)
+        witness = witnesses.get(cfd.cfd_id)
+        for row_index, values in enumerate(rows):
+            if (row_index, cfd.rhs) in touched:
+                continue
+            row = dict(zip(schema.attribute_names, values))
+            if not cfd.applies_to(row):
+                continue
+            expected = cfd.expected_value(row, witness=witness)
+            if expected is None or is_null(expected):
+                continue
+            current = values[rhs_position]
+            if is_null(current):
+                if not impute_missing:
+                    continue
+                kind = "imputation"
+            elif not values_equal(current, expected):
+                if not fix_violations:
+                    continue
+                kind = "violation"
+            else:
+                continue
+            values[rhs_position] = expected
+            touched.add((row_index, cfd.rhs))
+            actions.append(RepairAction(
+                relation=table.name, row_index=row_index, attribute=cfd.rhs,
+                old_value=current, new_value=expected, cfd_id=cfd.cfd_id, kind=kind))
+    return table.replace_rows([tuple(values) for values in rows]), actions
+
+
+REPAIR_SCHEMA = Schema("catalog", [
+    Attribute("sku", DataType.STRING),
+    Attribute("name", DataType.STRING),
+    Attribute("city", DataType.STRING),
+    Attribute("size", DataType.FLOAT),
+])
+#: ``sku → city`` reads a row's sku before ``name → sku`` rewrites it, and
+#: ``sku → name`` must then read the rewritten sku, not the first one.
+CHAINED = [
+    CFD("sku_city", "catalog", ("sku",), "city", confidence=1.0),
+    CFD("name_sku", "catalog", ("name",), "sku", confidence=0.95),
+    CFD("sku_name", "catalog", ("sku",), "name", confidence=0.9),
+    CFD("const", "catalog", ("city",), "size", lhs_pattern=(("city", "Leeds"),),
+        rhs_pattern=2.0, confidence=0.7),
+]
+CHAINED_WITNESSES = {
+    "name_sku": {("widget",): "W-1", ("gadget",): "G-2"},
+    "sku_name": {("w-1",): "Widget", ("g-2",): "Gadget", ("x-9",): "Sprocket"},
+    "sku_city": {("w-1",): "Leeds", ("g-2",): "York"},
+}
+SKUS = [None, "W-1", "w-1 ", "G-2", "X-9", "Q-0"]
+NAMES = [None, float("nan"), "Widget", " widget", "GADGET", "Sprocket", "Other"]
+
+
+class TestCompiledRepair:
+    def assert_same_repair(self, table, cfds, witnesses, **flags):
+        expected_table, expected_actions = reference_repair(table, cfds, witnesses, **flags)
+        outcome = CFDRepairer(**flags).repair(table, cfds, witnesses=witnesses)
+        assert outcome.table.tuples() == expected_table.tuples()
+        assert outcome.actions == expected_actions
+
+    def test_chained_repair_reads_rewritten_lhs(self):
+        table = Table(REPAIR_SCHEMA, [
+            ("G-2", "widget", None, None),
+            ("X-9", "Other", "Leeds", 5.0),
+            (None, "gadget", "York", None),
+        ])
+        outcome = CFDRepairer().repair(table, CHAINED, witnesses=CHAINED_WITNESSES)
+        # The city comes from the old sku; the name check sees the new one
+        # ("widget" agrees with W-1's "Widget", but not with G-2's "Gadget").
+        assert outcome.table.tuples()[0] == ("W-1", "widget", "York", None)
+        assert [action.cfd_id for action in outcome.actions if action.row_index == 0] == [
+            "sku_city", "name_sku"]
+        self.assert_same_repair(table, CHAINED, CHAINED_WITNESSES)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rows=st.lists(st.tuples(
+            st.sampled_from(SKUS), st.sampled_from(NAMES),
+            st.sampled_from([None, "Leeds", " leeds", "York"]),
+            st.sampled_from([None, 2.0, 2, 5.0]),
+        ), max_size=10),
+        confidences=st.lists(st.sampled_from([0.5, 0.8, 1.0]), min_size=len(CHAINED),
+                             max_size=len(CHAINED)),
+        impute=st.booleans(),
+        fix=st.booleans(),
+    )
+    def test_repair_matches_reference_loop(self, rows, confidences, impute, fix):
+        table = Table(REPAIR_SCHEMA, rows)
+        cfds = [dataclasses.replace(cfd, confidence=confidence)
+                for cfd, confidence in zip(CHAINED, confidences)]
+        self.assert_same_repair(table, cfds, CHAINED_WITNESSES,
+                                impute_missing=impute, fix_violations=fix)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=compiled_case())
+    def test_repair_matches_reference_loop_on_random_cfds(self, case):
+        names, cfds, witnesses, rows = case
+        schema = Schema("t", [Attribute(name, DataType.STRING) for name in names])
+        table = Table(schema, rows, coerce=False)
+        self.assert_same_repair(table, cfds, witnesses)

@@ -199,8 +199,10 @@ class TestCheckpointRestore:
     def test_corrupt_checkpoint_fails_loudly(self, session, tmp_path):
         path = str(tmp_path / "s.ckpt")
         session.checkpoint(path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-10])
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(blob[:-10])
         with pytest.raises(ValueError, match="corrupt"):
             WranglingSession.restore(path)
 

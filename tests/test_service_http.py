@@ -195,7 +195,8 @@ class TestWireEdgeCases:
             method="POST", headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:  # the error is the open response
+            assert error.code == 400
 
     def test_rate_limited_tenant_gets_429(self, tmp_path):
         store = SessionStore(str(tmp_path))
