@@ -20,7 +20,7 @@ from repro.core.facts import Predicates, data_context_fact
 from repro.core.knowledge_base import KnowledgeBase
 from repro.relational.table import Table
 
-__all__ = ["DataContextBinding", "DataContext"]
+__all__ = ["DataContextBinding", "DataContext", "context_table"]
 
 
 @dataclass(frozen=True)
@@ -133,3 +133,33 @@ class DataContext:
 
     def __repr__(self) -> str:
         return f"DataContext(bindings={len(self._bindings)})"
+
+
+def context_table(
+    kb: KnowledgeBase, kind: str, target_relation: str | None = None
+) -> tuple[Table | None, list[str]]:
+    """The first data-context table of ``kind`` plus a join key for it.
+
+    ``target_relation`` restricts the search to bindings of that target
+    (None: any target). Reference data is joined on an identifying attribute
+    (a postcode-like attribute when one exists) so the *other* shared
+    attributes can be checked for accuracy. Master data instead describes
+    whole entities, so all shared attributes together form the coverage key
+    for relevance.
+    """
+    for context_name, context_kind, bound_target in kb.facts(Predicates.DATA_CONTEXT):
+        if context_kind != kind or not kb.has_table(context_name):
+            continue
+        if target_relation is not None and bound_target != target_relation:
+            continue
+        table = kb.get_table(context_name)
+        target_schema = kb.schema_of(bound_target)
+        shared = [name for name in table.schema.attribute_names if name in target_schema]
+        if not shared:
+            continue
+        if kind == Predicates.CONTEXT_MASTER:
+            key = shared
+        else:
+            key = [name for name in shared if "postcode" in name.lower()] or shared[:1]
+        return table, key
+    return None, []

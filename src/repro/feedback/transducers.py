@@ -14,22 +14,87 @@ immediately as well as through re-orchestration.
 
 from __future__ import annotations
 
+from typing import AbstractSet, Sequence
+
 from repro.core.facts import Predicates
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.transducer import Activity, Transducer, TransducerResult
 from repro.feedback.assimilation import FeedbackAssimilator
 from repro.incremental.state import incremental_state
 from repro.mapping.model import PROVENANCE_ROW_ID
-from repro.mapping.transducers import FEEDBACK_PENALTIES_ARTIFACT_KEY, MAPPINGS_ARTIFACT_KEY
+from repro.mapping.transducers import (
+    FEEDBACK_PENALTIES_ARTIFACT_KEY,
+    MAPPINGS_ARTIFACT_KEY,
+    selected_mapping,
+)
 from repro.provenance.feedback import (
     LINEAGE_PENALTIES_ARTIFACT_KEY,
     LineageFeedbackPropagator,
 )
-from repro.provenance.model import OPERATOR_FEEDBACK, provenance_store
+from repro.provenance.model import OPERATOR_FEEDBACK, ProvenanceStore, provenance_store
 from repro.quality.transducers import quality_stats_stash
 from repro.relational.types import is_null
 
-__all__ = ["MappingEvaluationTransducer", "FeedbackRepairTransducer"]
+__all__ = [
+    "MappingEvaluationTransducer",
+    "FeedbackRepairTransducer",
+    "apply_feedback_marks",
+    "feedback_marks",
+]
+
+
+def feedback_marks(kb: KnowledgeBase) -> dict[str, dict[str, set[str]]]:
+    """relation → row key → attributes the user marked ``incorrect``.
+
+    A tuple-level mark appears as :attr:`Predicates.ANY_ATTRIBUTE`; positive
+    marks carry no rewrite and are left out.
+    """
+    marks: dict[str, dict[str, set[str]]] = {}
+    for _fid, relation, row_key, attribute, verdict in kb.facts(Predicates.FEEDBACK):
+        if verdict == Predicates.INCORRECT:
+            marks.setdefault(relation, {}).setdefault(str(row_key), set()).add(str(attribute))
+    return marks
+
+
+def apply_feedback_marks(
+    store: ProvenanceStore,
+    relation: str,
+    row_key: str,
+    row: tuple,
+    names: Sequence[str],
+    marked: AbstractSet[str] | None,
+) -> tuple[tuple | None, int]:
+    """Apply one row's ``incorrect`` marks; returns (row or None, cells cleared).
+
+    A tuple-level mark drops the row (None); attribute-level marks clear the
+    marked non-NULL cells. Both the feedback-repair transducer and the
+    incremental engine rewrite rows through this function, so the cascade
+    and its patch record the same lineage.
+    """
+    if not marked:
+        return row, 0
+    if Predicates.ANY_ATTRIBUTE in marked:
+        store.record_drop(relation, row_key, reason="feedback: tuple marked incorrect")
+        return None, 0
+    mutable = list(row)
+    cleared = 0
+    for position, attribute in enumerate(names):
+        if attribute in marked and not is_null(mutable[position]):
+            mutable[position] = None
+            cleared += 1
+            # Keep the prior witnesses: the cell is cleared, but the lineage
+            # of the value the user rejected is what feedback assimilation
+            # must blame.
+            prior = store.cell_lineage(relation, row_key, attribute)
+            store.record_cell(
+                relation,
+                row_key,
+                attribute,
+                operator=OPERATOR_FEEDBACK,
+                witnesses=prior.witnesses if prior else (),
+                detail="cleared: marked incorrect",
+            )
+    return (tuple(mutable) if cleared else row), cleared
 
 
 class MappingEvaluationTransducer(Transducer):
@@ -49,18 +114,13 @@ class MappingEvaluationTransducer(Transducer):
 
     def run(self, kb: KnowledgeBase) -> TransducerResult:
         candidates = kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
-        selected_mapping = None
-        for mapping_id, rank in kb.facts(Predicates.MAPPING_SELECTED):
-            if rank == 1 and mapping_id in candidates:
-                selected_mapping = candidates[mapping_id]
-                break
         store = provenance_store(kb)
         # One lineage-targeted attribution pass: it yields both the
         # per-assignment evidence (reused by the assimilator below) and the
         # per-mapping penalties naming exactly the implicated candidates.
         propagation = LineageFeedbackPropagator().collect(kb, store, candidates)
         evidence = self._assimilator.collect_evidence(
-            kb, selected_mapping, store, propagation=propagation
+            kb, selected_mapping(kb), store, propagation=propagation
         )
         source_rows = self._assimilator.source_row_counts(kb)
         revised = self._assimilator.revise_matches(kb, evidence, source_rows)
@@ -110,24 +170,19 @@ class FeedbackRepairTransducer(Transducer):
 
     def run(self, kb: KnowledgeBase) -> TransducerResult:
         state = incremental_state(kb, create=False)
-        feedback_rows = kb.facts(Predicates.FEEDBACK)
         if state is not None:
             # Whatever this pass applies (or skips as already applied) is
             # reflected in the materialised tables from here on.
-            state.observe_feedback_applied({str(row[0]) for row in feedback_rows})
-        by_relation: dict[str, list[tuple[str, str]]] = {}
-        for _fid, relation, row_key, attribute, verdict in feedback_rows:
-            if verdict != Predicates.INCORRECT:
-                continue
-            by_relation.setdefault(relation, []).append((str(row_key), attribute))
-        if not by_relation:
+            state.observe_feedback_applied({str(row[0]) for row in kb.facts(Predicates.FEEDBACK)})
+        marks = feedback_marks(kb)
+        if not marks:
             return TransducerResult(notes="no negative feedback to apply")
         cells_cleared = 0
         rows_dropped = 0
         tables_written = []
         store = provenance_store(kb)
         stash = quality_stats_stash(kb, create=False)
-        for relation, annotations in by_relation.items():
+        for relation, relation_marks in marks.items():
             if not kb.has_table(relation):
                 continue
             table = kb.get_table(relation)
@@ -143,48 +198,25 @@ class FeedbackRepairTransducer(Transducer):
                 stash.entries.pop(relation, None)
                 entry = None
             row_id_position = table.schema.position(PROVENANCE_ROW_ID)
-            cell_marks = {
-                (row_key, attribute)
-                for row_key, attribute in annotations
-                if attribute != Predicates.ANY_ATTRIBUTE
-            }
-            row_marks = {
-                row_key
-                for row_key, attribute in annotations
-                if attribute == Predicates.ANY_ATTRIBUTE
-            }
+            names = table.schema.attribute_names
             new_rows = []
             kept_rows = []
             dropped_rows = []
             changed = False
             for values in table.tuples():
                 row_key = str(values[row_id_position])
-                if row_key in row_marks:
+                row, cleared = apply_feedback_marks(
+                    store, relation, row_key, values, names, relation_marks.get(row_key)
+                )
+                if row is None:
                     rows_dropped += 1
                     changed = True
-                    store.record_drop(relation, row_key, reason="feedback: tuple marked incorrect")
                     dropped_rows.append(values)
                     continue
-                mutable = list(values)
-                for position, attribute in enumerate(table.schema.attribute_names):
-                    if (row_key, attribute) in cell_marks and not is_null(mutable[position]):
-                        mutable[position] = None
-                        cells_cleared += 1
-                        changed = True
-                        # Keep the prior witnesses: the cell is cleared, but
-                        # the lineage of the value the user rejected is what
-                        # feedback assimilation must blame.
-                        prior = store.cell_lineage(relation, row_key, attribute)
-                        store.record_cell(
-                            relation,
-                            row_key,
-                            attribute,
-                            operator=OPERATOR_FEEDBACK,
-                            witnesses=prior.witnesses if prior else (),
-                            detail="cleared: marked incorrect",
-                        )
+                cells_cleared += cleared
+                changed = changed or cleared > 0
                 kept_rows.append(values)
-                new_rows.append(mutable)
+                new_rows.append(row)
             if changed:
                 rewritten = table.replace_rows(new_rows)
                 kb.update_table(rewritten)

@@ -28,11 +28,15 @@ def block_by_attributes(table: Table, attributes: Sequence[str]) -> dict[tuple, 
     positions = [schema.position(name) if name in schema else None for name in attributes]
     blocks: dict[tuple, list[int]] = defaultdict(list)
     for index, values in enumerate(table.tuples()):
+        # List-built keys and a containment test: a generator per row
+        # costs as much as the normalisation itself.
         key = tuple(
-            normalise_key(values[position]) if position is not None else None
-            for position in positions
+            [
+                normalise_key(values[position]) if position is not None else None
+                for position in positions
+            ]
         )
-        if any(part is None for part in key):
+        if None in key:
             blocks[("__null__", index)].append(index)
         else:
             blocks[key].append(index)

@@ -11,7 +11,7 @@ evaluate when duplicates have been detected").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from repro.fusion.blocking import block_by_attributes, candidate_pairs
 from repro.matching.similarity import jaro_winkler_similarity
@@ -80,20 +80,35 @@ class DuplicateDetector:
         """The detector configuration."""
         return self._config
 
-    def detect(self, table: Table) -> list[DuplicatePair]:
-        """All duplicate pairs in ``table`` (row-index pairs with scores)."""
+    def detect(self, table: Table, touched: AbstractSet[int] | None = None) -> list[DuplicatePair]:
+        """All duplicate pairs in ``table`` (row-index pairs with scores).
+
+        With ``touched`` (row positions), only candidate pairs with at least
+        one touched endpoint are scored: the delta of detection after those
+        rows changed, in the same order the full detection reports them.
+        Full detection is the delta from the empty state, so the incremental
+        engine re-detects through this very method.
+        """
         config = self._config
         blocking = [name for name in config.blocking_attributes if name in table.schema]
         if blocking:
             blocks = block_by_attributes(table, blocking)
             pairs = candidate_pairs(blocks, max_block_size=config.max_block_size)
-        else:
-            indexes = list(range(len(table)))
+            if touched is not None:
+                pairs = [(i, j) for i, j in pairs if i in touched or j in touched]
+        elif touched is None:
+            indexes = range(len(table))
             pairs = [(i, j) for i in indexes for j in indexes if i < j]
-        rows = table.rows()
+        else:
+            pairs = sorted(
+                {(min(i, j), max(i, j)) for i in touched for j in range(len(table)) if i != j}
+            )
         duplicates = []
         for left_index, right_index in pairs:
-            score = self.pair_similarity(rows[left_index], rows[right_index])
+            # Row views only for candidate endpoints, and only while a pair
+            # is scored: holding one per row keeps a large table's worth of
+            # objects alive for the collector to traverse.
+            score = self.pair_similarity(table[left_index], table[right_index])
             if score >= config.threshold:
                 duplicates.append(DuplicatePair(left_index, right_index, round(score, 6)))
         return duplicates

@@ -16,7 +16,9 @@ almost entirely redundant.
 3. **patch** — only the dirty driving rows re-execute, only their duplicate
    pairs re-score, only their clusters re-fuse, only their cells re-repair;
    the materialised table, the provenance store and the result facts are
-   patched in place;
+   patched in place. Each step calls the cascade's own code restricted to
+   the dirty rows (detection, fusion, repair and the feedback rewrite), so
+   full evaluation is the patch from the empty state;
 4. **verify/fallback** — anything the snapshot cannot represent (a flipped
    mapping selection, second-level fusion, stale state) falls back to the
    full orchestrated pipeline, so the incremental path is an optimisation,
@@ -27,12 +29,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.core.facts import Predicates, metric_fact, result_fact
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.registry import TransducerRegistry
-from repro.fusion.blocking import block_by_attributes, candidate_pairs
+from repro.feedback.transducers import apply_feedback_marks, feedback_marks
 from repro.fusion.duplicates import DuplicateDetector
 from repro.fusion.fusion import DataFuser
 from repro.fusion.transducers import DUPLICATES_ARTIFACT_KEY
@@ -46,8 +48,8 @@ from repro.incremental.state import (
     mapping_source_volumes,
 )
 from repro.mapping.execution import MappingExecutor
-from repro.mapping.transducers import MAPPINGS_ARTIFACT_KEY, result_relation_name
-from repro.provenance.model import OPERATOR_FEEDBACK, ProvenanceStore, provenance_store
+from repro.mapping.transducers import result_relation_name, selected_mapping
+from repro.provenance.model import ProvenanceStore, provenance_store
 from repro.quality.cfd_learning import LearnedCFDs
 from repro.quality.repair import CFDRepairer
 from repro.quality.transducers import (
@@ -56,8 +58,7 @@ from repro.quality.transducers import (
     quality_context_token,
     quality_stats_stash,
 )
-from repro.relational.table import ROW_KEY_ATTRIBUTE, Table
-from repro.relational.types import is_null
+from repro.relational.table import Table
 
 __all__ = ["IncrementalOutcome", "IncrementalWrangler"]
 
@@ -240,7 +241,8 @@ class IncrementalWrangler:
         # threshold drops assignments): a changed leaf re-executes its whole
         # driving-source segment; added or removed leaves change the row
         # order and fall back.
-        selected = self._selected_mappings()
+        winner = selected_mapping(kb)
+        selected = {result_relation_name(winner.target_relation): winner} if winner else {}
         revised_leaves: dict[str, set[str]] = {}
         for relation, rel_state in state.relations.items():
             mapping = selected.get(relation)
@@ -548,20 +550,6 @@ class IncrementalWrangler:
             return None
         return {source for source, sig in new_leaves.items() if old_leaves[source] != sig}
 
-    # -- selection ------------------------------------------------------------
-
-    def _selected_mappings(self) -> dict[str, Any]:
-        """result relation → currently selected SchemaMapping."""
-        kb = self._kb
-        candidates = kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
-        selected: dict[str, Any] = {}
-        for mapping_id, rank in kb.facts(Predicates.MAPPING_SELECTED):
-            if rank != 1 or mapping_id not in candidates:
-                continue
-            mapping = candidates[mapping_id]
-            selected[result_relation_name(mapping.target_relation)] = mapping
-        return selected
-
     # -- the patch ------------------------------------------------------------
 
     def _patch_relation(
@@ -597,11 +585,11 @@ class IncrementalWrangler:
         recompute &= set(rel_state.base)
 
         # (b) per-row pass 1: base → repair → feedback (the pre-fusion rows).
-        feedback_marks = self._feedback_marks(relation)
+        marks = feedback_marks(self._kb).get(relation, {})
         learned: LearnedCFDs | None = kb.get_artifact(CFD_ARTIFACT_KEY)
         recompute_order = [key for key in rel_state.order if key in recompute]
         pass1, repaired_cells, dropped = self._derive_prefusion(
-            relation, rel_state, recompute_order, learned, feedback_marks, store
+            relation, rel_state, recompute_order, fresh, learned, marks, store
         )
         outcome.rows_recomputed += len(recompute_order)
         outcome.cells_rerepaired += repaired_cells
@@ -644,7 +632,7 @@ class IncrementalWrangler:
             affected,
             new_clusters,
             learned,
-            feedback_marks,
+            marks,
             store,
             two_pass=two_pass,
         )
@@ -677,7 +665,10 @@ class IncrementalWrangler:
             emitted.append(key)
             rows.append(row)
 
-        table = Table(schema, rows)
+        # Every row is already coerced (executor output, the repairer's
+        # replace_rows, fused values picked from member rows, NULLs written
+        # by feedback), so the rebuilt table skips re-coercion.
+        table = Table(schema, rows, coerce=False)
         kb.update_table(table)
         rel_state.phase = PHASE_FUSED if rel_state.pairs else PHASE_PREFUSION
 
@@ -686,7 +677,10 @@ class IncrementalWrangler:
         # still pairs. Unchanged rows were pairwise clean at the previous
         # fixpoint, so only pairs touching this patch's final rows can exist.
         changed_final = {key for key in emitted if key in final_updates}
-        if self._second_level_pairs(table, changed_final):
+        changed_rows = {
+            position for position, key in enumerate(table.row_keys()) if key in changed_final
+        }
+        if changed_rows and self._detector.detect(table, touched=changed_rows):
             return f"{relation}: patched rows re-cluster post-fusion (needs full pass)"
 
         # (h) result facts mirror the cascade's quiescent state.
@@ -802,28 +796,24 @@ class IncrementalWrangler:
             pass
         store.record_drop(relation, key, reason=reason)
 
-    def _feedback_marks(self, relation: str) -> dict[str, list[tuple[str, str]]]:
-        """row key → [(attribute, verdict)] for this relation's feedback."""
-        marks: dict[str, list[tuple[str, str]]] = {}
-        for _fid, rel, row_key, attribute, verdict in self._kb.facts(Predicates.FEEDBACK):
-            if rel == relation:
-                marks.setdefault(str(row_key), []).append((str(attribute), verdict))
-        return marks
-
     def _derive_prefusion(
         self,
         relation: str,
         rel_state: RelationState,
         keys: list[str],
+        fresh: set[str],
         learned: LearnedCFDs | None,
-        feedback_marks: Mapping[str, list[tuple[str, str]]],
+        marks: Mapping[str, set[str]],
         store: ProvenanceStore,
     ) -> tuple[dict[str, tuple], int, set[str]]:
         """Pass 1 for the given keys: base lineage reset → repair → feedback."""
         # Reset lineage to the materialisation-time annotation: repair and
         # fusion overrides are re-derived below, replacing (not appending to)
-        # whatever previous rounds recorded.
+        # whatever previous rounds recorded. ``fresh`` keys were re-executed
+        # by this patch and already carry exactly that annotation.
         for key in keys:
+            if key in fresh:
+                continue
             base = rel_state.base_lineage.get(key)
             if base is not None:
                 store.record_tuple(
@@ -835,121 +825,59 @@ class IncrementalWrangler:
                     cell_sources=base.cell_sources,
                 )
         rows = [rel_state.base[key] for key in keys]
-        repaired, cells = self._repair_rows(relation, rel_state.schema, rows, learned, store)
+        return self._repair_and_feedback(
+            relation, rel_state.schema, keys, rows, learned, marks, store
+        )
+
+    def _repair_and_feedback(
+        self,
+        relation: str,
+        schema,
+        keys: list[str],
+        rows: list[tuple],
+        learned: LearnedCFDs | None,
+        marks: Mapping[str, set[str]],
+        store: ProvenanceStore,
+    ) -> tuple[dict[str, tuple], int, set[str]]:
+        """One cascade repair + feedback pass over a row subset.
+
+        Repair is row-local, like the full pass; feedback rewrites each row
+        through the feedback-repair transducer's own function. Returns the
+        surviving rows by key, the repaired-cell count and the dropped keys.
+        """
+        repaired, cells = rows, 0
+        if rows and learned is not None and learned.cfds:
+            mini = Table(schema, rows, coerce=False, validate=False).rename(relation)
+            result = self._repairer.repair(
+                mini, learned.cfds, witnesses=learned.witnesses, provenance=store
+            )
+            repaired, cells = result.table.tuples(), len(result.actions)
+        names = schema.attribute_names
         derived: dict[str, tuple] = {}
         dropped: set[str] = set()
         for key, row in zip(keys, repaired):
-            row, row_dropped = self._apply_feedback_row(
-                relation, key, row, rel_state.schema, feedback_marks, store
-            )
-            if row_dropped:
+            row, _cleared = apply_feedback_marks(store, relation, key, row, names, marks.get(key))
+            if row is None:
                 dropped.add(key)
             else:
                 derived[key] = row
         return derived, cells, dropped
 
-    def _repair_rows(
-        self,
-        relation: str,
-        schema,
-        rows: list[tuple],
-        learned: LearnedCFDs | None,
-        store: ProvenanceStore,
-    ) -> tuple[list[tuple], int]:
-        """One CFD repair pass over a row subset (row-local, like the full pass)."""
-        if not rows or learned is None or not learned.cfds:
-            return rows, 0
-        mini = Table(schema, rows, coerce=False, validate=False)
-        mini = mini.rename(relation)
-        result = self._repairer.repair(
-            mini, learned.cfds, witnesses=learned.witnesses, provenance=store
-        )
-        return result.table.tuples(), len(result.actions)
-
-    def _apply_feedback_row(
-        self,
-        relation: str,
-        key: str,
-        row: tuple,
-        schema,
-        feedback_marks: Mapping[str, list[tuple[str, str]]],
-        store: ProvenanceStore,
-    ) -> tuple[tuple, bool]:
-        """Apply this key's annotations to one row (cascade semantics)."""
-        marks = feedback_marks.get(key)
-        if not marks:
-            return row, False
-        if any(
-            attribute == Predicates.ANY_ATTRIBUTE and verdict == Predicates.INCORRECT
-            for attribute, verdict in marks
-        ):
-            store.record_drop(relation, key, reason="feedback: tuple marked incorrect")
-            return row, True
-        cleared = {
-            attribute
-            for attribute, verdict in marks
-            if verdict == Predicates.INCORRECT and attribute != Predicates.ANY_ATTRIBUTE
-        }
-        if not cleared:
-            return row, False
-        mutable = list(row)
-        for position, attribute in enumerate(schema.attribute_names):
-            if attribute in cleared and not is_null(mutable[position]):
-                mutable[position] = None
-                prior = store.cell_lineage(relation, key, attribute)
-                store.record_cell(
-                    relation,
-                    key,
-                    attribute,
-                    operator=OPERATOR_FEEDBACK,
-                    witnesses=prior.witnesses if prior else (),
-                    detail="cleared: marked incorrect",
-                )
-        return tuple(mutable), False
-
     def _repair_pairs(self, rel_state: RelationState, touched: set[str]) -> None:
-        """Drop pairs touching ``touched`` keys and re-score their candidates.
-
-        Mirrors :meth:`DuplicateDetector.detect` over the pre-fusion rows,
-        restricted to pairs with at least one touched endpoint: same blocks,
-        same oversized-block skips, same threshold, same score rounding.
-        """
+        """Drop pairs touching ``touched`` keys and re-detect their candidates."""
         rel_state.pairs = {
             pair: score
             for pair, score in rel_state.pairs.items()
             if pair[0] not in touched and pair[1] not in touched
         }
         alive = rel_state.alive_keys()
-        touched_alive = [key for key in alive if key in touched]
-        if not touched_alive:
+        positions = {position for position, key in enumerate(alive) if key in touched}
+        if not positions:
             return
-        config = self._detector.config
-        schema = rel_state.schema
-        table = Table(
-            schema, [rel_state.prefusion[key] for key in alive], coerce=False, validate=False
-        )
-        position_of = {key: position for position, key in enumerate(alive)}
-        blocking = [name for name in config.blocking_attributes if name in schema]
-        if blocking:
-            blocks = block_by_attributes(table, blocking)
-            pairs = candidate_pairs(blocks, max_block_size=config.max_block_size)
-            candidates = [(i, j) for i, j in pairs if alive[i] in touched or alive[j] in touched]
-        else:
-            touched_positions = sorted(position_of[key] for key in touched_alive)
-            candidates = []
-            seen = set()
-            for i in touched_positions:
-                for j in range(len(alive)):
-                    if i == j:
-                        continue
-                    pair = (min(i, j), max(i, j))
-                    if pair not in seen:
-                        seen.add(pair)
-                        candidates.append(pair)
-        for i, j in candidates:
-            score = self._detector.pair_similarity(table[i], table[j])
-            if score >= config.threshold:
-                rel_state.pairs[(alive[i], alive[j])] = round(score, 6)
+        rows = [rel_state.prefusion[key] for key in alive]
+        table = Table(rel_state.schema, rows, coerce=False, validate=False)
+        for pair in self._detector.detect(table, touched=positions):
+            rel_state.pairs[(alive[pair.left_index], alive[pair.right_index])] = pair.score
 
     def _derive_final(
         self,
@@ -958,7 +886,7 @@ class IncrementalWrangler:
         affected: set[str],
         new_clusters: Mapping[str, frozenset],
         learned: LearnedCFDs | None,
-        feedback_marks: Mapping[str, list[tuple[str, str]]],
+        marks: Mapping[str, set[str]],
         store: ProvenanceStore,
         *,
         two_pass: bool,
@@ -991,10 +919,9 @@ class IncrementalWrangler:
                 final[members[0]] = rel_state.prefusion[members[0]]
                 continue
             member_rows = [rel_state.prefusion[member] for member in members]
-            merged, _conflicts = self._fuser.fuse_cluster(
+            merged, _conflicts, kept = self._fuser.fuse_cluster(
                 relation, names, member_rows, members, provenance=store
             )
-            kept = self._kept_key(names, merged, members)
             final[kept] = merged
             refused += 1
 
@@ -1006,26 +933,11 @@ class IncrementalWrangler:
         # The cascade's post-fusion repair + feedback over the fused rows.
         keys = [key for key in rel_state.order if key in final]
         rows = [final[key] for key in keys]
-        repaired, cells = self._repair_rows(relation, schema, rows, learned, store)
-        dropped: set[str] = set()
-        for key, row in zip(keys, repaired):
-            row, row_dropped = self._apply_feedback_row(
-                relation, key, row, schema, feedback_marks, store
-            )
-            if row_dropped:
-                dropped.add(key)
-            else:
-                final[key] = row
+        derived, cells, dropped = self._repair_and_feedback(
+            relation, schema, keys, rows, learned, marks, store
+        )
+        final.update(derived)
         return final, refused, cells, dropped
-
-    @staticmethod
-    def _kept_key(names: list[str], merged: tuple, member_keys: list[str]) -> str:
-        """The surviving key of a fused cluster (the fuser's convention)."""
-        if ROW_KEY_ATTRIBUTE in names:
-            value = merged[names.index(ROW_KEY_ATTRIBUTE)]
-            if value is not None:
-                return str(value)
-        return member_keys[0]
 
     def _current_rows(self, relation: str) -> dict[str, tuple]:
         """The current final table, keyed by row key."""
@@ -1033,29 +945,3 @@ class IncrementalWrangler:
             return {}
         table = self._kb.get_table(relation)
         return dict(zip(table.row_keys(), table.tuples()))
-
-    def _second_level_pairs(self, table: Table, changed_keys: set[str]) -> bool:
-        """Would the pipeline's final detection pass fuse again?"""
-        if not changed_keys:
-            return False
-        config = self._detector.config
-        keys = table.row_keys()
-        blocking = [name for name in config.blocking_attributes if name in table.schema]
-        if blocking:
-            blocks = block_by_attributes(table, blocking)
-            pairs: Iterable[tuple[int, int]] = candidate_pairs(
-                blocks, max_block_size=config.max_block_size
-            )
-        else:
-            pairs = (
-                (min(i, j), max(i, j))
-                for i in range(len(keys))
-                for j in range(len(keys))
-                if i < j and (keys[i] in changed_keys or keys[j] in changed_keys)
-            )
-        for i, j in pairs:
-            if keys[i] not in changed_keys and keys[j] not in changed_keys:
-                continue
-            if self._detector.pair_similarity(table[i], table[j]) >= config.threshold:
-                return True
-        return False

@@ -9,6 +9,7 @@ context into account.
 
 from __future__ import annotations
 
+from repro.context.data_context import context_table
 from repro.core.facts import (
     Predicates,
     mapping_fact,
@@ -39,6 +40,7 @@ __all__ = [
     "MappingSelectionTransducer",
     "ResultMaterialisationTransducer",
     "result_relation_name",
+    "selected_mapping",
 ]
 
 #: Artifact key for the dictionary of candidate mappings (id → SchemaMapping).
@@ -50,6 +52,19 @@ FEEDBACK_PENALTIES_ARTIFACT_KEY = "feedback_penalties"
 #: Feedback-driven re-scores reuse these instead of re-materialising every
 #: candidate; the entry is dropped whenever the scoring context changes.
 BASE_SCORES_ARTIFACT_KEY = "mapping_base_scores"
+
+
+def selected_mapping(kb: KnowledgeBase) -> SchemaMapping | None:
+    """The rank-1 selected candidate mapping (None before selection).
+
+    Mapping selection retracts every ``mapping_selected`` fact before it
+    asserts one global ranking, so at most one rank-1 fact exists.
+    """
+    candidates = kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
+    for mapping_id, rank in kb.facts(Predicates.MAPPING_SELECTED):
+        if rank == 1 and mapping_id in candidates:
+            return candidates[mapping_id]
+    return None
 
 
 def result_relation_name(target_relation: str) -> str:
@@ -174,8 +189,8 @@ class MappingQualityTransducer(Transducer):
     def _build_scorer(
         self, kb: KnowledgeBase, target_relation: str, target_schema
     ) -> MappingScorer:
-        reference, reference_key = _context_table(kb, Predicates.CONTEXT_REFERENCE, target_relation)
-        master, master_key = _context_table(kb, Predicates.CONTEXT_MASTER, target_relation)
+        reference, reference_key = context_table(kb, Predicates.CONTEXT_REFERENCE, target_relation)
+        master, master_key = context_table(kb, Predicates.CONTEXT_MASTER, target_relation)
         return MappingScorer(
             kb.catalog,
             target_schema,
@@ -331,15 +346,10 @@ class ResultMaterialisationTransducer(Transducer):
     input_dependencies = ("mapping_selected(M, 1)",)
 
     def run(self, kb: KnowledgeBase) -> TransducerResult:
-        candidates: dict[str, SchemaMapping] = kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
-        selected_id = None
-        for mapping_id, rank in kb.facts(Predicates.MAPPING_SELECTED):
-            if rank == 1:
-                selected_id = mapping_id
-                break
-        if selected_id is None or selected_id not in candidates:
+        mapping = selected_mapping(kb)
+        if mapping is None:
             return TransducerResult(notes="no selected mapping to materialise")
-        mapping = candidates[selected_id]
+        selected_id = mapping.mapping_id
         target_schema = kb.schema_of(mapping.target_relation)
         executor = MappingExecutor(kb.catalog, provenance=provenance_store(kb))
         result_name = result_relation_name(mapping.target_relation)
@@ -391,29 +401,3 @@ def _completeness_weights(kb: KnowledgeBase) -> dict[str, float]:
         if dimension == "completeness":
             weights[attribute] = weights.get(attribute, 0.0) + float(weight)
     return weights
-
-
-def _context_table(kb: KnowledgeBase, kind: str, target_relation: str):
-    """The first data-context table of ``kind`` for ``target_relation`` plus a key.
-
-    Reference data is joined on an identifying attribute (a postcode-like
-    attribute when one exists) so the *other* shared attributes can be
-    checked for accuracy. Master data instead describes whole entities, so
-    all shared attributes together form the coverage key for relevance.
-    """
-    for context_name, context_kind, bound_target in kb.facts(Predicates.DATA_CONTEXT):
-        if context_kind != kind or bound_target != target_relation:
-            continue
-        if not kb.has_table(context_name):
-            continue
-        table = kb.get_table(context_name)
-        target_schema = kb.schema_of(target_relation)
-        shared = [name for name in table.schema.attribute_names if name in target_schema]
-        if not shared:
-            continue
-        if kind == Predicates.CONTEXT_MASTER:
-            key = shared
-        else:
-            key = [name for name in shared if "postcode" in name.lower()] or shared[:1]
-        return table, key
-    return None, []

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.context.data_context import context_table
 from repro.core.facts import Predicates, cfd_fact, metric_fact, repair_fact
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.transducer import Activity, Transducer, TransducerResult
@@ -170,8 +171,8 @@ class MetricContext:
 def _metric_context(kb: KnowledgeBase) -> MetricContext:
     """The evaluation inputs (CFDs, reference, master) the metric run uses."""
     learned: LearnedCFDs | None = kb.get_artifact(CFD_ARTIFACT_KEY)
-    reference, reference_key = _context_table(kb, Predicates.CONTEXT_REFERENCE)
-    master, master_key = _context_table(kb, Predicates.CONTEXT_MASTER)
+    reference, reference_key = context_table(kb, Predicates.CONTEXT_REFERENCE)
+    master, master_key = context_table(kb, Predicates.CONTEXT_MASTER)
     return MetricContext(
         learned=learned,
         reference=reference,
@@ -351,29 +352,6 @@ class QualityMetricTransducer(Transducer):
             ),
             details={"evaluated": evaluated, "reused": reused, "rebuilt": rebuilt},
         )
-
-
-def _context_table(kb: KnowledgeBase, kind: str):
-    """The first data-context table of ``kind`` and a join key for it.
-
-    Reference data is keyed on an identifying attribute so the remaining
-    shared attributes can be checked; master data is keyed on all shared
-    attributes (coverage of whole entities).
-    """
-    for context_name, context_kind, target_relation in kb.facts(Predicates.DATA_CONTEXT):
-        if context_kind != kind or not kb.has_table(context_name):
-            continue
-        table = kb.get_table(context_name)
-        target_schema = kb.schema_of(target_relation)
-        shared = [name for name in table.schema.attribute_names if name in target_schema]
-        if not shared:
-            continue
-        if kind == Predicates.CONTEXT_MASTER:
-            key = shared
-        else:
-            key = [name for name in shared if "postcode" in name.lower()] or shared[:1]
-        return table, key
-    return None, []
 
 
 class DataRepairTransducer(Transducer):

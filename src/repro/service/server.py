@@ -171,7 +171,13 @@ class WranglingServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            raise _HttpError(400, f"malformed Content-Length {declared!r}") from None
+        if length < 0:
+            raise _HttpError(400, f"negative Content-Length {length}")
         if length > _MAX_BODY:
             raise _HttpError(400, f"body too large ({length} bytes)")
         raw = await reader.readexactly(length) if length else b""

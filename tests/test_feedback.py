@@ -12,7 +12,9 @@ from repro.feedback import (
     MappingEvaluationTransducer,
     simulate_feedback,
 )
+from repro.feedback.transducers import apply_feedback_marks, feedback_marks
 from repro.matching import Correspondence, MatchSet
+from repro.provenance.model import OPERATOR_FEEDBACK, OPERATOR_MAPPING, ProvenanceStore
 from repro.relational import Attribute, DataType, Schema, Table
 
 RESULT_SCHEMA = Schema("property_result", [
@@ -215,3 +217,71 @@ class TestFeedbackTransducers:
                        "street", "correct")
         outcome = FeedbackRepairTransducer().execute(kb)
         assert outcome.tables_written == []
+
+
+class TestApplyFeedbackMarks:
+    """The one per-row feedback rewrite the transducer and the incremental
+    engine share."""
+
+    ROW = ("Elm Road", None, 200000.0, 250, "rightmove", "rightmove:1")
+
+    def store(self):
+        store = ProvenanceStore()
+        witness = frozenset((store.ref("rightmove", "rightmove:1"),))
+        store.record_tuple(
+            "property_result", "rightmove:1", operator=OPERATOR_MAPPING, witnesses=(witness,)
+        )
+        return store, witness
+
+    def apply(self, store, marked):
+        return apply_feedback_marks(
+            store, "property_result", "rightmove:1", self.ROW,
+            RESULT_SCHEMA.attribute_names, marked,
+        )
+
+    def test_tuple_mark_drops_the_row(self):
+        store, _witness = self.store()
+        assert self.apply(store, {Predicates.ANY_ATTRIBUTE, "bedrooms"}) == (None, 0)
+        assert "rightmove:1" in store.dropped("property_result")
+        assert store.tuple_lineage("property_result", "rightmove:1") is None
+
+    def test_cell_mark_clears_the_cell_and_keeps_prior_witnesses(self):
+        store, witness = self.store()
+        row, cleared = self.apply(store, {"bedrooms"})
+        assert cleared == 1
+        assert row == ("Elm Road", None, 200000.0, None, "rightmove", "rightmove:1")
+        cell = store.cell_lineage("property_result", "rightmove:1", "bedrooms")
+        assert cell.operator == OPERATOR_FEEDBACK
+        assert cell.witnesses == frozenset((witness,))
+        assert cell.detail == "cleared: marked incorrect"
+
+    def test_null_cell_is_not_re_recorded(self):
+        store, _witness = self.store()
+        row, cleared = self.apply(store, {"postcode"})
+        assert (row, cleared) == (self.ROW, 0)
+        cell = store.cell_lineage("property_result", "rightmove:1", "postcode")
+        assert cell.operator == OPERATOR_MAPPING
+
+    def test_positive_only_marks_leave_the_row_untouched(self):
+        kb = KnowledgeBase()
+        kb.assert_fact(Predicates.FEEDBACK, "f1", "property_result", "rightmove:1",
+                       "bedrooms", "correct")
+        kb.assert_fact(Predicates.FEEDBACK, "f2", "property_result", "rightmove:1",
+                       "*", "correct")
+        assert feedback_marks(kb) == {}
+        store, _witness = self.store()
+        before = store.tuple_lineage("property_result", "rightmove:1")
+        assert self.apply(store, None) == (self.ROW, 0)
+        assert store.tuple_lineage("property_result", "rightmove:1") is before
+
+    def test_marks_group_incorrect_verdicts_by_relation_and_row(self):
+        kb = KnowledgeBase()
+        kb.assert_fact(Predicates.FEEDBACK, "f1", "property_result", "rightmove:1",
+                       "bedrooms", "incorrect")
+        kb.assert_fact(Predicates.FEEDBACK, "f2", "property_result", "rightmove:1",
+                       "price", "correct")
+        kb.assert_fact(Predicates.FEEDBACK, "f3", "property_result", "onthemarket:0",
+                       "*", "incorrect")
+        assert feedback_marks(kb) == {
+            "property_result": {"rightmove:1": {"bedrooms"}, "onthemarket:0": {"*"}}
+        }

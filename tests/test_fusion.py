@@ -19,6 +19,7 @@ from repro.fusion import (
     candidate_pairs,
     cluster_pairs,
 )
+from repro.provenance.model import OPERATOR_MAPPING, ProvenanceStore
 from repro.relational import Attribute, DataType, Schema, Table
 
 LISTING_SCHEMA = Schema("property_result", [
@@ -128,6 +129,22 @@ class TestDataFuser:
         outcome = DataFuser().fuse(table, [])
         assert outcome.table is table
         assert outcome.rows_removed == 0
+
+    @pytest.mark.parametrize("policy", [FusionPolicy.PREFER_NON_NULL, FusionPolicy.LONGEST])
+    def test_fuse_cluster_kept_key_is_the_key_fuse_records(self, policy):
+        schema = Schema("t", [Attribute("price", DataType.FLOAT),
+                              Attribute("_row_id", DataType.STRING)])
+        table = Table(schema, [(100.0, "a:9"), (100.0, "a:10")])
+        store = ProvenanceStore()
+        for key in table.row_keys():
+            store.record_tuple("t", key, operator=OPERATOR_MAPPING,
+                               witnesses=(frozenset((store.ref("a", key),)),))
+        fuser = DataFuser(default_policy=policy)
+        fuser.fuse(table, [DuplicatePair(0, 1, 0.99)], provenance=store)
+        [recorded] = [key for key in table.row_keys() if store.tuple_lineage("t", key)]
+        _merged, _conflicts, kept = fuser.fuse_cluster(
+            "t", schema.attribute_names, table.tuples(), table.row_keys())
+        assert kept == recorded
 
 
 class TestFusionTransducers:

@@ -23,6 +23,7 @@ from repro.incremental.validate import _prepare, check_incremental
 from repro.quality.transducers import CFD_ARTIFACT_KEY
 from repro.quality.cfd_learning import LearnedCFDs
 from repro.scenarios.synth import SynthConfig, generate_synthetic
+from repro.service.api import AppendRequest, FeedbackRequest
 from repro.wrangler.config import WranglerConfig
 
 
@@ -170,8 +171,8 @@ class TestApplyFeedbackIncremental:
                 strategy="targeted",
                 id_prefix=f"t{round_number}",
             )
-            result = incremental.apply_feedback(annotations, incremental=True)
-            outcomes.append(result.details["incremental"])
+            request = FeedbackRequest(annotations=tuple(annotations), incremental=True)
+            outcomes.append(incremental.session().feedback(request).incremental)
             full.add_feedback(annotations)
             full.run("feedback")
             assert tables_equal(incremental.result(), full.result()), (
@@ -198,8 +199,8 @@ class TestApplyFeedbackIncremental:
         victim = incremental.result().row_keys()[3]
         annotations = [Feedback("drop1", incremental.result_name(), victim,
                                 Predicates.ANY_ATTRIBUTE, False)]
-        result = incremental.apply_feedback(annotations, incremental=True)
-        assert result.details["incremental"]["applied"]
+        request = FeedbackRequest(annotations=tuple(annotations), incremental=True)
+        assert incremental.session().feedback(request).incremental["applied"]
         full.add_feedback(annotations)
         full.run("feedback")
         assert victim not in incremental.result().row_keys()
@@ -214,9 +215,10 @@ class TestApplyFeedbackIncremental:
             full.result(), scenario.ground_truth, scenario.evaluation_key,
             budget=5, seed=1, strategy="targeted", id_prefix="s",
         )
-        result = incremental.apply_feedback(annotations, incremental=True)
-        assert not result.details["incremental"]["applied"]
-        assert "test-staleness" in result.details["incremental"]["reason"]
+        request = FeedbackRequest(annotations=tuple(annotations), incremental=True)
+        outcome = incremental.session().feedback(request).incremental
+        assert not outcome["applied"]
+        assert "test-staleness" in outcome["reason"]
         full.add_feedback(annotations)
         full.run("feedback")
         assert tables_equal(incremental.result(), full.result())
@@ -228,9 +230,9 @@ class TestApplyFeedbackIncremental:
             wrangler.result(), scenario.ground_truth, scenario.evaluation_key,
             budget=3, seed=0, strategy="targeted",
         )
-        result = wrangler.apply_feedback(annotations, incremental=True)
-        assert not result.details["incremental"]["applied"]
-        assert result.table is not None
+        request = FeedbackRequest(annotations=tuple(annotations), incremental=True)
+        assert not wrangler.session().feedback(request).incremental["applied"]
+        assert wrangler.result() is not None
 
     def test_positive_feedback_only_keeps_table_untouched(self):
         scenario, incremental, full = twin_sessions(
@@ -246,8 +248,8 @@ class TestApplyFeedbackIncremental:
         ][:5]
         if not annotations:  # pragma: no cover - scenario-dependent
             pytest.skip("no confirmable cells in this scenario")
-        result = incremental.apply_feedback(annotations, incremental=True)
-        assert result.details["incremental"]["applied"]
+        request = FeedbackRequest(annotations=tuple(annotations), incremental=True)
+        assert incremental.session().feedback(request).incremental["applied"]
         full.add_feedback(annotations)
         full.run("feedback")
         assert tables_equal(incremental.result(), full.result())
@@ -260,11 +262,14 @@ class TestStructuralDeltas:
         )
         source = scenario.sources[0]
         new_rows = [source.tuples()[0], source.tuples()[1]]
-        result = incremental.append_source_rows(source.name, new_rows, incremental=True)
-        full.append_source_rows(source.name, new_rows, incremental=False)
+        outcome = incremental.session().append(
+            AppendRequest(relation=source.name, rows=tuple(new_rows), incremental=True)
+        ).incremental
+        full.session().append(
+            AppendRequest(relation=source.name, rows=tuple(new_rows), incremental=False)
+        )
         assert tables_equal(incremental.result(), full.result())
         assert len(incremental.result()) == len(full.result())
-        outcome = result.details["incremental"]
         if outcome["applied"]:
             assert outcome["rows_rematerialised"] >= len(new_rows)
 
@@ -276,10 +281,12 @@ class TestStructuralDeltas:
         depots = incremental.kb.get_table("depots")
         unknown = ("DEP-9999", "nowhere", "z.nobody")
         before = incremental.result().tuples()
-        result = incremental.append_source_rows("depots", [unknown], incremental=True)
-        assert result.details["incremental"]["applied"]
+        appended = incremental.session().append(
+            AppendRequest(relation="depots", rows=(unknown,), incremental=True)
+        )
+        assert appended.incremental["applied"]
         assert incremental.result().tuples() == before
-        full.append_source_rows("depots", [unknown], incremental=False)
+        full.session().append(AppendRequest(relation="depots", rows=(unknown,), incremental=False))
         assert tables_equal(incremental.result(), full.result())
         assert len(depots) + 1 == len(incremental.kb.get_table("depots"))
 
@@ -297,10 +304,11 @@ class TestStructuralDeltas:
         change_set = ChangeSet(
             (SourceRowsDelta(source.name, appended=tuple(first)),)
         ) | ChangeSet((SourceRowsDelta(source.name, appended=tuple(second)),))
-        result = incremental.apply_change_set(change_set)
-        full.append_source_rows(source.name, first + second, incremental=False)
+        outcome = incremental.session().apply(change_set).incremental
+        full.session().append(
+            AppendRequest(relation=source.name, rows=tuple(first + second), incremental=False)
+        )
         assert tables_equal(incremental.result(), full.result())
-        outcome = result.details["incremental"]
         if outcome["applied"]:
             assert outcome["rows_rematerialised"] >= 3
 
@@ -335,13 +343,12 @@ class TestStructuralDeltas:
             wrangler.kb.retract_where(Predicates.CFD, p0=victim.cfd_id)
 
         retire(incremental)
-        result = incremental.apply_change_set(
+        outcome = incremental.session().apply(
             ChangeSet((RuleDelta(cfd_ids=(victim.cfd_id,), change="removed"),))
-        )
+        ).incremental
         retire(full)
         full.run("revision")
         assert tables_equal(incremental.result(), full.result())
-        outcome = result.details["incremental"]
         if outcome["applied"]:
             assert outcome["rows_recomputed"] > 0
 
@@ -358,8 +365,7 @@ class TestStructuralDeltas:
         wrangler.registry.get("data_fusion")._fuser = DataFuser(
             attribute_policies={"price": FusionPolicy.MAX}
         )
-        result = wrangler.apply_change_set(ChangeSet((FusionPolicyDelta(),)))
-        outcome = result.details["incremental"]
+        outcome = wrangler.session().apply(ChangeSet((FusionPolicyDelta(),))).incremental
         assert outcome["applied"]
         assert outcome["clusters_refused"] > 0
         after = dict(zip(wrangler.result().row_keys(), wrangler.result().tuples()))
@@ -373,14 +379,14 @@ class TestStructuralDeltas:
             SynthConfig(family="product_catalog", entities=100, seed=1)
         )
         mapping = incremental.selected_mapping()
-        result = incremental.apply_change_set(
+        outcome = incremental.session().apply(
             ChangeSet(
                 (MappingRevisionDelta(mapping.target_relation, mapping.mapping_id),)
             )
-        )
+        ).incremental
         # A mapping revision is a rebuild, not a patch — and the fallback's
         # full pass must land on the same result.
-        assert not result.details["incremental"]["applied"]
+        assert not outcome["applied"]
         assert tables_equal(incremental.result(), full.result())
 
 
@@ -398,8 +404,10 @@ class TestIncrementalMetrics:
             strategy="targeted",
             id_prefix=f"m{round_number}",
         )
-        result = session.apply_feedback(annotations, incremental=True, evaluate=False)
-        return result.details["incremental"]
+        request = FeedbackRequest(
+            annotations=tuple(annotations), incremental=True, evaluate=False
+        )
+        return session.session().feedback(request).incremental
 
     def assert_stats_exact(self, session):
         fast = session.evaluate()
@@ -441,10 +449,10 @@ class TestIncrementalMetrics:
             CFD_ARTIFACT_KEY, LearnedCFDs(cfds=remaining, witnesses=witnesses)
         )
         session.kb.retract_where(Predicates.CFD, p0=victim.cfd_id)
-        outcome = session.apply_change_set(
+        outcome = session.session().apply(
             ChangeSet((RuleDelta(cfd_ids=(victim.cfd_id,), change="removed"),)),
             evaluate=False,
-        ).details["incremental"]
+        ).incremental
         index = session.incremental.impact
         if outcome["applied"]:
             assert index is not None and index.builds <= 1
@@ -464,8 +472,9 @@ class TestIncrementalMetrics:
         stash = quality_stats_stash(session.kb, create=False)
         assert stash is not None and source in stash.entries
         template = session.kb.get_table(source).tuples()[0]
-        result = session.append_source_rows(source, [template, template])
-        outcome = result.details["incremental"]
+        outcome = session.session().append(
+            AppendRequest(relation=source, rows=(template, template))
+        ).incremental
         if outcome["applied"]:
             assert source in outcome["metrics_patched"]
             entry = stash.entries[source]

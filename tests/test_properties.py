@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from repro.context.ahp import PairwiseMatrix, consistency_ratio
 from repro.datalog import Program, query
-from repro.fusion.duplicates import DuplicatePair, cluster_pairs
+from repro.fusion.duplicates import (
+    DuplicateDetector,
+    DuplicateDetectorConfig,
+    DuplicatePair,
+    cluster_pairs,
+)
 from repro.matching.similarity import (
     jaccard_similarity,
     jaro_winkler_similarity,
@@ -263,3 +268,52 @@ def test_cluster_pairs_forms_a_partition(raw_pairs, size):
     # every paired index appears in some cluster
     paired = {index for pair in pairs for index in pair.as_tuple()}
     assert paired <= set(seen) | set()
+
+
+LISTING_SCHEMA = Schema(
+    "listings",
+    [
+        Attribute("postcode", DataType.STRING),
+        Attribute("street", DataType.STRING),
+        Attribute("price", DataType.ANY),
+    ],
+)
+
+
+@st.composite
+def listings_with_touched_rows(draw):
+    """Small listing tables dense in near-duplicates, plus touched positions."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["M1 1AA", "m1 1aa", "M5 3CC", None]),
+                st.sampled_from(["Oak Street", "oak street", "Oak St", "Elm Road", None]),
+                st.sampled_from([100, 101, 250, None]),
+            ),
+            max_size=12,
+        )
+    )
+    touched = draw(st.sets(st.integers(0, max(len(rows) - 1, 0)))) if rows else set()
+    return Table(LISTING_SCHEMA, rows), touched
+
+
+@pytest.mark.parametrize(
+    "blocking, max_block_size",
+    [(("postcode",), 200), ((), 200), (("postcode",), 3)],
+    ids=["blocked", "all_pairs", "oversized_block"],
+)
+@given(listings_with_touched_rows())
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+def test_touched_detection_is_the_filtered_full_detection(blocking, max_block_size, case):
+    table, touched = case
+    detector = DuplicateDetector(
+        DuplicateDetectorConfig(
+            blocking_attributes=blocking,
+            comparison_attributes=("street", "price"),
+            threshold=0.7,
+            max_block_size=max_block_size,
+        )
+    )
+    full = detector.detect(table)
+    expected = [p for p in full if p.left_index in touched or p.right_index in touched]
+    assert detector.detect(table, touched=touched) == expected

@@ -198,6 +198,30 @@ class TestWireEdgeCases:
         with excinfo.value as error:  # the error is the open response
             assert error.code == 400
 
+    def test_malformed_content_length_is_400(self, service_url, client):
+        import socket
+        from urllib.parse import urlsplit
+
+        address = urlsplit(service_url)
+        for declared in ("abc", "-5"):
+            request = (
+                f"POST /sessions HTTP/1.1\r\nHost: {address.netloc}\r\n"
+                f"Content-Length: {declared}\r\n\r\n"
+            )
+            with socket.create_connection((address.hostname, address.port), timeout=30) as sock:
+                sock.sendall(request.encode("latin-1"))
+                with sock.makefile("rb") as reply:
+                    status_line = reply.readline().decode("latin-1")
+                    assert status_line.split()[1:2] == ["400"], (declared, status_line)
+                    headers = {}
+                    for line in iter(reply.readline, b"\r\n"):
+                        name, _, value = line.decode("latin-1").partition(":")
+                        headers[name.strip().lower()] = value.strip()
+                    body = json.loads(reply.read(int(headers["content-length"])))
+            assert "Content-Length" in body["error"]
+        # The server survived both: a fresh connection is still served.
+        assert client.health()["status"] == "ok"
+
     def test_rate_limited_tenant_gets_429(self, tmp_path):
         store = SessionStore(str(tmp_path))
         # One token, effectively never refilled: the second submission trips.
